@@ -6,8 +6,10 @@ accounting) through an :class:`ExecutionBackend`:
 
 * ``reference`` -- record-at-a-time loops, the bit-exact oracle
   (:class:`ReferenceBackend`).
-* ``vectorized`` -- whole-array NumPy kernels, the fast path and the
-  default (:class:`VectorizedBackend`).
+* ``vectorized`` -- the fast path and the default
+  (:class:`VectorizedBackend`): one compiled C loop replays both stages
+  row by row (:mod:`repro.backends.replay`), with whole-array NumPy
+  kernels for everything else and on hosts without a C compiler.
 * ``parallel`` -- the vectorized kernels sharded over ``n_jobs``
   workers: stripes in step 1, PRaP residue classes in step 2
   (:class:`ParallelBackend`).

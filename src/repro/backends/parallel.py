@@ -77,6 +77,11 @@ class ParallelBackend(VectorizedBackend):
 
     name = "parallel"
 
+    @property
+    def kernel_tier(self) -> str:
+        """Always ``parallel``: the sharded NumPy stages, never the row replay."""
+        return self.name
+
     #: Below this many records a kernel runs inline: fan-out overhead
     #: would exceed the work.
     MIN_FANOUT_RECORDS = 4096
@@ -377,11 +382,13 @@ class ParallelBackend(VectorizedBackend):
         ]
 
         def chunk_values(task) -> np.ndarray:
+            from repro.core.segsum import run_sum
+
             rec_lo, rec_hi, run_lo, run_hi = task
-            return np.bincount(
+            return run_sum(
                 symbolic.run_ids[rec_lo:rec_hi] - run_lo,
-                weights=ordered[rec_lo:rec_hi],
-                minlength=run_hi - run_lo,
+                ordered[rec_lo:rec_hi],
+                run_hi - run_lo,
             )
 
         if self.pool.uses_processes:

@@ -6,13 +6,15 @@ counterpart of SpArch-style stream condensing and SMASH-style batched
 index decode.  Accumulations use ``np.bincount``, whose C loop adds
 weights sequentially in stream order, so results are bit-identical to
 the record-at-a-time oracle (pairwise-summation reductions would not
-be).
+be).  :meth:`VectorizedBackend.row_replay` runs both stages of a whole
+SpMV as one compiled loop instead (:mod:`repro.backends.replay`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import replay
 from repro.backends.base import ExecutionBackend, SparseVector
 from repro.compression.vldi import total_encoded_bits
 from repro.merge.merge_core import inject_missing_keys
@@ -25,6 +27,44 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
 
+    @property
+    def kernel_tier(self) -> str:
+        """``c`` once the compiled row replay has loaded, else ``numpy``.
+
+        Reading the tier never compiles: before the first SpMV (and on
+        hosts without a working C compiler) it reports ``numpy``.
+        """
+        return "c" if replay.loaded_kernel() is not None else "numpy"
+
+    def row_replay(self, plan, X: np.ndarray, Y: np.ndarray | None = None):
+        """Both stages as one compiled row-major pass over ``plan``.
+
+        Compiles the kernel on the first call.  Bit-identical to step 1
+        plus the fused step-2 merge and scatter (see
+        :mod:`repro.backends.replay`).
+
+        Args:
+            plan: The matrix's :class:`~repro.core.plan.ExecutionPlan`.
+            X: Dense source vector ``(n_cols,)`` or block ``(n_cols, k)``.
+            Y: Optional accumuland shaped like the result.
+
+        Returns:
+            The dense result, or None when no compiler works (the caller
+            then runs the NumPy stages).
+        """
+        kernel = replay.load_kernel()
+        if kernel is None:
+            return None
+        layout = plan.row_replay()
+        with span("step.replay", rows=layout.n_rows, records=layout.vals.size):
+            result = kernel(layout, X, Y)
+        metric_inc(
+            "spmv_records_merged_total",
+            layout.n_merged,
+            help="Records emitted by the K-way merge",
+        )
+        return result
+
     def stripe_spmv(
         self,
         rows: np.ndarray,
@@ -34,13 +74,15 @@ class VectorizedBackend(ExecutionBackend):
     ) -> SparseVector:
         if rows.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        from repro.core.segsum import run_sum
+
         products = vals * x_segment[cols]
         # Row-major order makes equal-row products adjacent: compress runs.
         new_run = np.empty(rows.size, dtype=bool)
         new_run[0] = True
         new_run[1:] = rows[1:] != rows[:-1]
         run_ids = np.cumsum(new_run) - 1
-        values = np.bincount(run_ids, weights=products)
+        values = run_sum(run_ids, products)
         return rows[new_run], values
 
     def merge_accumulate(self, lists: list[SparseVector]) -> SparseVector:
@@ -53,13 +95,15 @@ class VectorizedBackend(ExecutionBackend):
         # plan; only the value datapath runs per call.
         if stripe.vals.size == 0:
             return stripe.out_indices, np.empty(0, dtype=np.float64)
+        from repro.core.segsum import run_sum
+
         if workspace is not None:
             products = workspace.buffer("step1.products", stripe.vals.size)
             np.take(x_segment, stripe.cols, out=products)
             np.multiply(stripe.vals, products, out=products)
         else:
             products = stripe.vals * x_segment[stripe.cols]
-        values = np.bincount(stripe.run_ids, weights=products, minlength=stripe.n_runs)
+        values = run_sum(stripe.run_ids, products, stripe.n_runs)
         return stripe.out_indices, values
 
     def stripe_spmv_plan_batch(self, stripe, segments: np.ndarray) -> SparseVector:
@@ -72,12 +116,9 @@ class VectorizedBackend(ExecutionBackend):
         # bit-compatibility contract) while staying k-wide vectorized.
         # Deferred import: repro.core pulls the backend registry back in
         # at package-init time, so a module-level import would cycle.
-        from repro.core.segsum import build_run_groups, mul_segment_sum_batch
+        from repro.core.segsum import mul_segment_sum_batch
 
-        groups = stripe.run_groups
-        if groups is None:
-            groups = build_run_groups(stripe.run_ids, stripe.n_runs)
-        values = mul_segment_sum_batch(segments, stripe.cols, stripe.vals, groups)
+        values = mul_segment_sum_batch(segments, stripe.cols, stripe.vals, stripe.run_groups)
         return stripe.out_indices, values
 
     def merge_accumulate_batch(self, lists: list, k: int) -> SparseVector:
@@ -142,6 +183,8 @@ class VectorizedBackend(ExecutionBackend):
     ) -> np.ndarray:
         if symbolic.total_records == 0:
             return np.zeros(symbolic.n_merged, dtype=np.float64)
+        from repro.core.segsum import run_sum
+
         values = [np.asarray(v, dtype=np.float64) for _, v in lists]
         if workspace is not None:
             concat = workspace.buffer("merge.concat", symbolic.total_records)
@@ -150,9 +193,7 @@ class VectorizedBackend(ExecutionBackend):
             np.take(concat, symbolic.order, out=ordered)
         else:
             ordered = np.concatenate(values)[symbolic.order]
-        return np.bincount(
-            symbolic.run_ids, weights=ordered, minlength=symbolic.n_merged
-        )
+        return run_sum(symbolic.run_ids, ordered, symbolic.n_merged)
 
     def merge_accumulate_plan_batch(
         self, symbolic, lists: list, k: int, workspace=None

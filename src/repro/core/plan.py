@@ -29,6 +29,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +92,6 @@ class StripePlan:
         matrix_bytes: Off-chip bytes to stream the stripe (meta + values).
         iv_index_bits: Encoded bits of the intermediate index stream
             (VLDI when enabled, fixed fields otherwise).
-        run_groups: Length-grouped run layout
-            (:class:`~repro.core.segsum.RunGroups`) for the
-            order-preserving multi-RHS accumulation kernel.
         run_starts: CSR-style run offsets (length ``n_runs + 1``):
             records of output run ``r`` occupy stream positions
             ``run_starts[r]:run_starts[r+1]``.  The native backend's
@@ -112,8 +110,14 @@ class StripePlan:
     fmt: StripeFormat
     matrix_bytes: float
     iv_index_bits: int
-    run_groups: RunGroups | None = None
     run_starts: np.ndarray | None = None
+
+    @cached_property
+    def run_groups(self) -> RunGroups:
+        """Length-grouped run layout (:class:`~repro.core.segsum.RunGroups`)
+        for the order-preserving multi-RHS accumulation kernel, built on
+        first use: the compiled row replay never needs it."""
+        return build_run_groups(self.run_ids, self.n_runs)
 
     @property
     def width(self) -> int:
@@ -252,6 +256,98 @@ def build_step2_symbolic(stripes: list, n_out: int, p: int) -> Step2Symbolic:
         class_keys=tuple(class_keys),
         run_groups=build_run_groups(run_ids, int(merged_keys.size), order=order),
         run_starts=run_starts,
+    )
+
+
+@dataclass(frozen=True)
+class RowReplay:
+    """Row-major layout of both Two-Step stages for the compiled replay.
+
+    Every stripe run (a maximal same-row record sequence of one stripe)
+    becomes one contiguous record range, ordered by output row, then by
+    stripe, then by position in the stripe -- the order in which step 1
+    accumulates a run and the stable merge then accumulates the runs of
+    one row.  Built once per plan, lazily (see
+    :meth:`ExecutionPlan.row_replay`).
+
+    Attributes:
+        n_rows: Result-vector dimension.
+        n_cols: Source-vector dimension.
+        row_runs: Run range of each row (length ``n_rows + 1``): the runs
+            of row ``i`` are ``row_runs[i]:row_runs[i+1]``.
+        run_ptr: Record range of each run (length ``n_runs + 1``).
+        cols: Global column of each record, in replay order; int32 when
+            ``n_cols < 2**31``.
+        vals: Value of each record, in replay order (a copy the plan owns).
+        n_merged: Rows with at least one record -- the records the
+            K-way merge emits.
+    """
+
+    n_rows: int
+    n_cols: int
+    row_runs: np.ndarray
+    run_ptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    n_merged: int
+
+
+def build_row_replay(matrix: COOMatrix, stripes: list) -> RowReplay:
+    """Derive the :class:`RowReplay` layout of ``matrix``'s stripe plans.
+
+    Canonical RM-COO input takes the matrix order after one O(nnz)
+    check.  Anything else (``COOMatrix`` accepts unsorted triples) takes
+    a stable sort of the stripes' runs by row -- the merge's own order.
+
+    Args:
+        matrix: The planned matrix.
+        stripes: Its :class:`StripePlan` list, in stripe order.
+
+    Returns:
+        The immutable :class:`RowReplay`.
+    """
+    index = np.int32 if matrix.n_cols < 2**31 else np.int64
+    width = stripes[0].width if stripes else 1
+    rows = matrix.rows
+    # The matrix order is the replay order when rows never decrease and,
+    # within a row, the stripe never decreases (RM-COO, duplicates allowed).
+    row_step = np.diff(rows)
+    stripe_step = np.diff(matrix.cols // width)
+    if np.all((row_step > 0) | ((row_step == 0) & (stripe_step >= 0))):
+        new_run = np.ones(rows.size, dtype=bool)
+        new_run[1:] = (row_step != 0) | (stripe_step != 0)
+        starts = np.flatnonzero(new_run)
+        run_rows = rows[starts]
+        run_ptr = np.append(starts, rows.size).astype(np.int64, copy=False)
+        cols = matrix.cols.astype(index)
+        vals = matrix.vals.copy()
+    else:
+        offsets = np.cumsum([0] + [sp.nnz for sp in stripes])
+        run_keys = np.concatenate([sp.out_indices for sp in stripes])
+        order = np.argsort(run_keys, kind="stable")
+        run_rows = run_keys[order]
+        starts = np.concatenate(
+            [sp.run_starts[:-1] + off for sp, off in zip(stripes, offsets)]
+        )[order]
+        lengths = np.concatenate([np.diff(sp.run_starts) for sp in stripes])[order]
+        run_ptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=run_ptr[1:])
+        records = np.repeat(starts - run_ptr[:-1], lengths) + np.arange(
+            run_ptr[-1], dtype=np.int64
+        )
+        cols = np.concatenate([sp.cols + sp.col_lo for sp in stripes])[records].astype(index)
+        vals = np.concatenate([sp.vals for sp in stripes])[records]
+    per_row = np.bincount(run_rows, minlength=matrix.n_rows)
+    row_runs = np.zeros(matrix.n_rows + 1, dtype=np.int64)
+    np.cumsum(per_row, out=row_runs[1:])
+    return RowReplay(
+        n_rows=int(matrix.n_rows),
+        n_cols=int(matrix.n_cols),
+        row_runs=row_runs,
+        run_ptr=run_ptr,
+        cols=cols,
+        vals=vals,
+        n_merged=int(np.count_nonzero(per_row)),
     )
 
 
@@ -487,6 +583,7 @@ class ExecutionPlan:
     _spgemm: OrderedDict = field(
         default_factory=OrderedDict, repr=False, compare=False
     )
+    _row_replay: RowReplay | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -524,6 +621,37 @@ class ExecutionPlan:
         )
         with self._symbolic_lock:
             return self._symbolic.setdefault(p, symbolic)
+
+    def row_replay(self) -> RowReplay:
+        """The cached :class:`RowReplay` layout, built on first use.
+
+        The compiled replay's counterpart of :meth:`step2_symbolic`, and
+        counted by the same counters under ``structure="row_replay"``:
+        built once under a ``plan.replay`` span, then pure hits.  Only
+        the compiled replay reads it, so plans that never take that path
+        never pay for it.
+        """
+        labels = {"structure": "row_replay"}
+        with self._symbolic_lock:
+            layout = self._row_replay
+        if layout is not None:
+            metric_inc(
+                "spmv_step2_plan_hits_total",
+                labels=labels,
+                help="Cached step-2 symbolic structure reuses",
+            )
+            return layout
+        with span("plan.replay", n_stripes=len(self.stripes)):
+            layout = build_row_replay(self.matrix, self.stripes)
+        metric_inc(
+            "spmv_plan_symbolic_builds_total",
+            labels=labels,
+            help="Step-2 symbolic structures built",
+        )
+        with self._symbolic_lock:
+            if self._row_replay is None:
+                self._row_replay = layout
+            return self._row_replay
 
     def spgemm_plan(self, b: COOMatrix) -> SpGEMMPlan:
         """The cached SpGEMM symbolic structure for right operand ``b``.
@@ -736,7 +864,6 @@ def build_plan(
                     block, fmt, matrix.n_rows, config, backend
                 ),
                 iv_index_bits=_iv_index_bits(out_indices, config, backend),
-                run_groups=build_run_groups(run_ids, n_runs),
                 run_starts=run_starts,
             )
         )

@@ -110,6 +110,33 @@ def build_run_groups(
     )
 
 
+def run_sum(run_ids: np.ndarray, weights: np.ndarray, n_runs: int = 0) -> np.ndarray:
+    """Per-run sums of a contiguous run stream, oracle-exact.
+
+    ``np.bincount`` adds each run's weights in stream order, but seeds
+    the run with ``+0.0`` where the adder chain (and the reference
+    oracle) seeds it with its first record.  The two folds differ only
+    when every record of a run is ``-0.0`` (``0.0 + -0.0`` is ``+0.0``),
+    so those runs are patched afterwards.
+
+    Args:
+        run_ids: Per-record run id, as fed to ``bincount``.
+        weights: Per-record values, in stream order.
+        n_runs: Minimum number of runs (``bincount``'s ``minlength``).
+
+    Returns:
+        The per-run sums; empty runs are ``+0.0``.
+    """
+    out = np.bincount(run_ids, weights=weights, minlength=n_runs)
+    if (out == 0.0).any():
+        negative_zero = np.signbit(weights) & (weights == 0.0)
+        if negative_zero.any():
+            signed = np.bincount(run_ids[negative_zero], minlength=out.size) > 0
+            unsigned = np.bincount(run_ids[~negative_zero], minlength=out.size) > 0
+            out[signed & ~unsigned] = -0.0
+    return out
+
+
 def segment_sum_batch(values: np.ndarray, run_groups: RunGroups) -> np.ndarray:
     """Accumulate an ``(n, k)`` stream into ``(n_runs, k)``, bincount-order.
 
@@ -175,5 +202,6 @@ __all__ = [
     "RunGroups",
     "build_run_groups",
     "mul_segment_sum_batch",
+    "run_sum",
     "segment_sum_batch",
 ]

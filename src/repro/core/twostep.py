@@ -24,7 +24,11 @@ accounting) are dispatched through an execution backend
 (:mod:`repro.backends`): ``reference`` replays records one at a time,
 ``vectorized`` runs whole-array NumPy kernels, ``parallel`` shards the
 vectorized kernels over a worker pool.  All produce bit-identical
-results and byte-identical ledgers; only wall-clock speed differs.
+results and byte-identical ledgers; only wall-clock speed differs.  On
+the default configuration (vectorized backend, fused step 2, no
+interleave check) both steps run instead as one compiled row-major
+pass over the plan (:meth:`VectorizedBackend.row_replay`), which
+performs the same additions in the same order.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.api import SpGEMMResult, SpMVResult
-from repro.backends import ExecutionBackend, resolve_backend
+from repro.backends import ExecutionBackend, VectorizedBackend, resolve_backend
 from repro.core.config import TwoStepConfig
 from repro.core.plan import (
     ExecutionPlan,
@@ -433,19 +437,11 @@ class TwoStepEngine:
             with span("spmv.run", backend=self.backend.name, batch=1):
                 with collect_faults(faults):
                     plan = self.plan(matrix)
-                    symbolic = (
-                        plan.step2_symbolic(self.config.n_cores) if fused else None
-                    )
-                    workspace = self._workspace() if fused else None
-                    with span("step1", n_stripes=len(plan.stripes)):
-                        lists = self._step1.run_planned(plan, x, workspace=workspace)
-                    with span("step2", n_lists=len(lists)):
-                        if fused:
-                            result = self._step2.run_lists_plan(
-                                symbolic, lists, y=y, workspace=workspace
-                            )
-                        else:
-                            result = self._step2.run_lists(lists, matrix.n_rows, y=y)
+                    result = self._row_replay(plan, x, y, fused)
+                    kernels = "c"
+                    if result is None:
+                        result = self._staged(plan, x, y, fused)
+                        kernels = self._staged_tier()
         report = self._report(plan, batch=1, fused=fused)
         verified = None
         if verify:
@@ -460,7 +456,7 @@ class TwoStepEngine:
             verified=verified,
             wall_time_s=wall,
             faults=faults,
-            telemetry=self._publish_telemetry(session, plan, report, wall),
+            telemetry=self._publish_telemetry(session, plan, report, wall, kernels),
         )
 
     def run_many(
@@ -510,19 +506,11 @@ class TwoStepEngine:
             with span("spmv.run", backend=self.backend.name, batch=k):
                 with collect_faults(faults):
                     plan = self.plan(matrix)
-                    symbolic = (
-                        plan.step2_symbolic(self.config.n_cores) if fused else None
-                    )
-                    workspace = self._workspace() if fused else None
-                    with span("step1", n_stripes=len(plan.stripes)):
-                        lists = self._step1.run_planned_batch(plan, X)
-                    with span("step2", n_lists=len(lists)):
-                        if fused:
-                            result = self._step2.run_batch_plan(
-                                symbolic, lists, k, Y=Y, workspace=workspace
-                            )
-                        else:
-                            result = self._step2.run_batch(lists, matrix.n_rows, k, Y=Y)
+                    result = self._row_replay(plan, X, Y, fused)
+                    kernels = "c"
+                    if result is None:
+                        result = self._staged_batch(plan, X, Y, fused)
+                        kernels = self._staged_tier()
         report = self._report(plan, batch=max(k, 1), fused=fused)
         verified = None
         if verify:
@@ -539,8 +527,57 @@ class TwoStepEngine:
             verified=verified,
             wall_time_s=wall,
             faults=faults,
-            telemetry=self._publish_telemetry(session, plan, report, wall),
+            telemetry=self._publish_telemetry(session, plan, report, wall, kernels),
         )
+
+    def _row_replay(self, plan: ExecutionPlan, X, Y, fused: bool):
+        """Both stages as the backend's compiled row-major pass, or None.
+
+        Applies to the vectorized backend with fused step 2 and no
+        store-queue interleave check; it needs neither the step-2
+        symbolic structure nor the workspace.  None also when the
+        kernel cannot be compiled on this host.
+        """
+        if (
+            not fused
+            or self.config.check_interleave
+            or self.backend.name != VectorizedBackend.name
+        ):
+            return None
+        return self.backend.row_replay(plan, X, Y)
+
+    def _staged_tier(self) -> str:
+        """The kernel tier label of every path but the row replay."""
+        if self.backend.name == VectorizedBackend.name:
+            return "numpy"
+        return self.backend.kernel_tier
+
+    def _staged(self, plan: ExecutionPlan, x, y, fused: bool) -> np.ndarray:
+        """``run``'s NumPy stages: step 1 per stripe, then the merge."""
+        symbolic = plan.step2_symbolic(self.config.n_cores) if fused else None
+        workspace = self._workspace() if fused else None
+        with span("step1", n_stripes=len(plan.stripes)):
+            lists = self._step1.run_planned(plan, x, workspace=workspace)
+        with span("step2", n_lists=len(lists)):
+            if fused:
+                return self._step2.run_lists_plan(
+                    symbolic, lists, y=y, workspace=workspace
+                )
+            return self._step2.run_lists(lists, plan.n_rows, y=y)
+
+    def _staged_batch(self, plan: ExecutionPlan, X, Y, fused: bool) -> np.ndarray:
+        """``run_many``'s NumPy stages over a ``(n_cols, k)`` block."""
+        k = X.shape[1]
+        symbolic = plan.step2_symbolic(self.config.n_cores) if fused else None
+        workspace = self._workspace() if fused else None
+        with span("step1", n_stripes=len(plan.stripes)):
+            lists = self._step1.run_planned_batch(plan, X)
+        with span("step2", n_lists=len(lists)):
+            if fused:
+                return self._step2.run_batch_plan(
+                    symbolic, lists, k, Y=Y, workspace=workspace
+                )
+            return self._step2.run_batch(lists, plan.n_rows, k, Y=Y)
 
     def spgemm(
         self,
@@ -679,10 +716,7 @@ class TwoStepEngine:
         )
         metrics.inc(
             "spgemm_backend_runs_total",
-            labels={
-                "backend": self.backend.name,
-                "kernels": self.backend.kernel_tier,
-            },
+            labels={"backend": self.backend.name, "kernels": self._staged_tier()},
             help="SpGEMM runs, by requested backend and executing kernel tier",
         )
         telemetry = TelemetryReport(
@@ -719,7 +753,12 @@ class TwoStepEngine:
         return telemetry_session()
 
     def _publish_telemetry(
-        self, session, plan: ExecutionPlan, report: TwoStepReport, wall_s: float
+        self,
+        session,
+        plan: ExecutionPlan,
+        report: TwoStepReport,
+        wall_s: float,
+        kernels: str,
     ) -> TelemetryReport | None:
         """Snapshot one run's telemetry and fold it into the lifetime registry.
 
@@ -757,10 +796,7 @@ class TwoStepEngine:
         )
         metrics.inc(
             "spmv_backend_runs_total",
-            labels={
-                "backend": self.backend.name,
-                "kernels": self.backend.kernel_tier,
-            },
+            labels={"backend": self.backend.name, "kernels": kernels},
             help="Engine runs, by requested backend and executing kernel tier",
         )
         telemetry = TelemetryReport(

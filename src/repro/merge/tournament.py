@@ -57,9 +57,11 @@ def merge_accumulate(lists: list) -> tuple:
     new_run[0] = True
     new_run[1:] = all_idx[1:] != all_idx[:-1]
     run_ids = np.cumsum(new_run) - 1
-    # bincount adds weights sequentially in stream order, matching the
-    # tournament tree's one-record-at-a-time accumulation bit for bit.
-    summed = np.bincount(run_ids, weights=all_val)
+    # Sequential stream-order addition, matching the tournament tree's
+    # one-record-at-a-time accumulation bit for bit.
+    from repro.core.segsum import run_sum
+
+    summed = run_sum(run_ids, all_val)
     return all_idx[new_run], summed
 
 

@@ -48,10 +48,12 @@ def stripe_values_task(payload: dict) -> np.ndarray:
     try:
         if vals.size == 0:
             return np.empty(0, dtype=np.float64)
+        from repro.core.segsum import run_sum
+
         products = vals * segment[cols]
-        # bincount adds weights sequentially in stream order: bit-identical
-        # to the sequential backends' accumulation.
-        return np.bincount(run_ids, weights=products, minlength=payload["n_runs"])
+        # Sequential stream-order addition: bit-identical to the
+        # sequential backends' accumulation.
+        return run_sum(run_ids, products, payload["n_runs"])
     finally:
         _release(handles)
 
@@ -94,9 +96,9 @@ def merge_plan_chunk_task(payload: dict) -> np.ndarray:
     try:
         if vals.size == 0:
             return np.zeros(payload["n_runs"], dtype=np.float64)
-        return np.bincount(
-            run_ids - payload["run_lo"], weights=vals, minlength=payload["n_runs"]
-        )
+        from repro.core.segsum import run_sum
+
+        return run_sum(run_ids - payload["run_lo"], vals, payload["n_runs"])
     finally:
         _release(handles)
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,22 @@ from repro.generators.rmat import rmat_graph
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@contextmanager
+def numpy_stages():
+    """Run the vectorized backend on its NumPy stages (no compiled replay)."""
+    from repro.backends import replay
+
+    with mock.patch.object(replay, "load_kernel", lambda: None):
+        yield
+
+
+@pytest.fixture(name="numpy_stages")
+def numpy_stages_fixture():
+    """:func:`numpy_stages` for a whole test."""
+    with numpy_stages():
+        yield
 
 
 @pytest.fixture

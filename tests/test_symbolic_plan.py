@@ -289,7 +289,9 @@ def test_workspace_buffers_grow_only_and_reuse_memory():
     assert ws.nbytes >= 150 * 8 + 10 * 8
 
 
-def test_engine_workspace_is_stable_across_warm_runs(graph):
+def test_engine_workspace_is_stable_across_warm_runs(graph, numpy_stages):
+    # The workspace belongs to the NumPy stages; the compiled replay
+    # allocates no scratch at all.
     engine = TwoStepEngine(_config(True, backend="vectorized"))
     x = np.ones(graph.n_cols)
     engine.run(graph, x)
