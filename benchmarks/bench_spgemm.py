@@ -11,6 +11,8 @@ with no argsort and no per-row Python dispatch.  This bench:
 * times warm engine replays against the per-row reference across
   structurally distinct zoo members (ER, RMAT, block-diagonal,
   bipartite-banded), gating a >= 2x speedup;
+* reports, without gating, scipy's ``A @ A`` on the same CSR operand
+  and the warm engine / scipy ratio (None where scipy is not installed);
 * archives ``BENCH_spgemm.json`` (with provenance) for CI trend gates.
 
 The ``repro figure spgemm`` table remains the scheduling ablation in
@@ -29,6 +31,11 @@ from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.generators.rmat import rmat_graph
 
 from benchmarks._util import emit, emit_json
+
+try:
+    import scipy.sparse as scipy_sparse
+except ImportError:  # scipy is optional: its columns read None
+    scipy_sparse = None
 
 SEGMENT_WIDTH = 256
 WARM_REPEATS = 5
@@ -97,6 +104,12 @@ def run_bench() -> dict:
         # are argsort-free gather/multiply/segment-sum.
         warm_s = _time(lambda: engine.spgemm(a, a), repeats=WARM_REPEATS)
 
+        scipy_s = ratio = None
+        if scipy_sparse is not None:
+            csr = scipy_sparse.csr_matrix((a.vals, (a.rows, a.cols)), shape=a.shape)
+            scipy_s = _time(lambda: csr @ csr, repeats=WARM_REPEATS)
+            ratio = warm_s / scipy_s
+
         c = cold.c
         assert np.array_equal(c.rows, reference.rows)
         assert np.array_equal(c.cols, reference.cols)
@@ -114,6 +127,8 @@ def run_bench() -> dict:
                 f"{cold_s * 1e3:.1f}",
                 f"{warm_s * 1e3:.1f}",
                 f"{speedup:.1f}x",
+                "-" if scipy_s is None else f"{scipy_s * 1e3:.2f}",
+                "-" if ratio is None else f"{ratio:.2f}",
             ]
         )
         results.append(
@@ -130,6 +145,8 @@ def run_bench() -> dict:
                 "engine_cold_s": cold_s,
                 "engine_warm_s": warm_s,
                 "speedup_warm": speedup,
+                "scipy_s": scipy_s,
+                "engine_over_scipy": ratio,
                 "bit_identical": True,
             }
         )
@@ -142,6 +159,7 @@ def run_bench() -> dict:
             [
                 "matrix", "nnz(A)", "nnz(C)", "compress",
                 "gustavson ms", "cold ms", "warm ms", "speedup",
+                "scipy ms", "warm/scipy",
             ],
             rows,
         ),

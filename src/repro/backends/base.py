@@ -342,6 +342,14 @@ class ExecutionBackend(ABC):
     # order.
     # ------------------------------------------------------------------
 
+    def spgemm_kernel(self):
+        """The compiled kernel that plans and runs this backend's SpGEMM.
+
+        None (the default) keeps SpGEMM on :meth:`spgemm_products` and
+        :meth:`spgemm_merge` over the staged plan structure.
+        """
+        return None
+
     def spgemm_products(self, splan, b_vals: np.ndarray, workspace=None) -> np.ndarray:
         """Partial-product value stream of ``C = A @ B`` in plan order.
 
@@ -367,8 +375,8 @@ class ExecutionBackend(ABC):
         """Multi-way merge of the partial-product stream into ``C``'s values.
 
         Accumulates each output cell's contributions sequentially in
-        sorted-stream order (the precomputed stable permutation) -- the
-        exact left-associated addition ``np.bincount`` performs -- so
+        sorted-stream order (the precomputed stable permutation), seeded
+        with the cell's first contribution as the merge root is, so
         every override must be bit-identical to this loop.
 
         Args:
@@ -384,7 +392,11 @@ class ExecutionBackend(ABC):
         order = splan.order.tolist()
         run_ids = splan.run_ids.tolist()
         for pos in range(len(order)):
-            out[run_ids[pos]] += float(products[order[pos]])
+            value = float(products[order[pos]])
+            if pos and run_ids[pos] == run_ids[pos - 1]:
+                out[run_ids[pos]] += value
+            else:
+                out[run_ids[pos]] = value
         return out
 
     def scatter_dense_plan(self, symbolic, merged_vals) -> np.ndarray:

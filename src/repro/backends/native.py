@@ -26,8 +26,9 @@ PAPERS.md).
   :class:`~repro.faults.errors.ConfigurationError` instead.
 
 **Bit-identity.**  Every fused loop replays the exact left-associated
-stream-order addition of ``np.bincount`` -- runs are contiguous, each
-output element is accumulated sequentially from record 0 upward, and
+stream-order addition of the NumPy kernels -- runs are contiguous, each
+output element is seeded with its run's first record and accumulated
+sequentially from there (so a run of ``-0.0`` stays ``-0.0``), and
 ``prange`` only distributes *whole runs* across threads, so no
 reduction is ever re-associated (re-associating reductions are rejected
 here exactly as ``reduceat`` was in the batched segment-sum kernel).
@@ -123,22 +124,27 @@ def reset_native_state() -> None:
 def _build_kernels(numba, parallel: bool) -> dict:
     """Compile the fused plan-replay kernels (one set per process).
 
-    Every loop accumulates each output run sequentially from its first
-    record -- the same adds, in the same order and association, as
-    ``np.bincount`` on the equivalent stream -- and parallelism only
-    ever splits *between* runs, so outputs are bit-identical to the
-    NumPy kernels at any thread count.
+    Every loop accumulates each output run sequentially, seeded with its
+    first record -- the same adds, in the same order and association, as
+    the NumPy kernels (:func:`~repro.core.segsum.run_sum` and the
+    segment sums) -- and parallelism only ever splits *between* runs, so
+    outputs are bit-identical to them at any thread count.
     """
     njit = numba.njit
     prange = numba.prange if parallel else range
+
+    # Runs are never empty.  Each is seeded with its first element, as
+    # the adder chain and the merge root do: seeding with 0.0 would turn
+    # a run of -0.0 into +0.0.
 
     @njit(cache=True, parallel=parallel)
     def stripe_spmv(cols, vals, x, run_starts, out):
         # Fused gather * multiply * run-segment sum: the vectorized
         # backend's `products` intermediate never exists.
         for r in prange(run_starts.size - 1):
-            acc = 0.0
-            for j in range(run_starts[r], run_starts[r + 1]):
+            lo = run_starts[r]
+            acc = vals[lo] * x[cols[lo]]
+            for j in range(lo + 1, run_starts[r + 1]):
                 acc += vals[j] * x[cols[j]]
             out[r] = acc
 
@@ -146,9 +152,10 @@ def _build_kernels(numba, parallel: bool) -> dict:
     def stripe_spmv_batch(cols, vals, segments, run_starts, out):
         k = segments.shape[1]
         for r in prange(run_starts.size - 1):
+            lo = run_starts[r]
             for c in range(k):
-                acc = 0.0
-                for j in range(run_starts[r], run_starts[r + 1]):
+                acc = vals[lo] * segments[cols[lo], c]
+                for j in range(lo + 1, run_starts[r + 1]):
                     acc += vals[j] * segments[cols[j], c]
                 out[r, c] = acc
 
@@ -157,8 +164,9 @@ def _build_kernels(numba, parallel: bool) -> dict:
         # Fused permutation gather + run-segment sum over the raw
         # concatenated value stream: `ordered` is never materialized.
         for r in prange(run_starts.size - 1):
-            acc = 0.0
-            for j in range(run_starts[r], run_starts[r + 1]):
+            lo = run_starts[r]
+            acc = values[order[lo]]
+            for j in range(lo + 1, run_starts[r + 1]):
                 acc += values[order[j]]
             out[r] = acc
 
@@ -166,9 +174,10 @@ def _build_kernels(numba, parallel: bool) -> dict:
     def merge_plan_batch(values, order, run_starts, out):
         k = values.shape[1]
         for r in prange(run_starts.size - 1):
+            lo = run_starts[r]
             for c in range(k):
-                acc = 0.0
-                for j in range(run_starts[r], run_starts[r + 1]):
+                acc = values[order[lo], c]
+                for j in range(lo + 1, run_starts[r + 1]):
                     acc += values[order[j], c]
                 out[r, c] = acc
 
@@ -452,6 +461,10 @@ class NativeBackend(VectorizedBackend):
     # run_starts offsets) -- both with the same run-granular prange
     # distribution, so outputs stay bit-identical to the NumPy kernels.
     # ------------------------------------------------------------------
+
+    def spgemm_kernel(self):
+        """None: SpGEMM runs the JIT (or NumPy fallback) stages."""
+        return None
 
     def spgemm_products(self, splan, b_vals, workspace=None) -> np.ndarray:
         kernels = self._ensure_kernels()

@@ -483,6 +483,10 @@ class ParallelBackend(VectorizedBackend):
     # stream-order addition -- bit-identical by construction.
     # ------------------------------------------------------------------
 
+    def spgemm_kernel(self):
+        """None: SpGEMM runs the sharded stages, never the compiled pass."""
+        return None
+
     def spgemm_products(self, splan, b_vals, workspace=None) -> np.ndarray:
         if (
             self.pool.inline
@@ -561,11 +565,13 @@ class ParallelBackend(VectorizedBackend):
         ]
 
         def chunk_values(task) -> np.ndarray:
+            from repro.core.segsum import run_sum
+
             rec_lo, rec_hi, run_lo, run_hi = task
-            return np.bincount(
+            return run_sum(
                 splan.run_ids[rec_lo:rec_hi] - run_lo,
-                weights=ordered[rec_lo:rec_hi],
-                minlength=run_hi - run_lo,
+                ordered[rec_lo:rec_hi],
+                run_hi - run_lo,
             )
 
         if self.pool.uses_processes:

@@ -12,8 +12,15 @@ stages and to the reference oracle -- without intermediate vectors, the
 merge-permutation gather or the scatter.  ``run`` is the ``k = 1``
 case; wider blocks are processed in fixed-width column chunks.
 
-The source is compiled with the system C compiler on the first SpMV
-that needs it (never at import or engine construction), with
+The same source holds the row-wise SpGEMM ``C = A @ B`` over ``A``'s
+layout: a symbolic pass that emits each output row's sorted columns and
+maps every partial product to its output slot, and a numeric pass that
+seeds each cell with its first product and adds the rest in order --
+the additions of the staged stable-sort merge and of row-wise Gustavson
+(see :class:`~repro.core.plan.SpGEMMSlotMap`).
+
+The source is compiled with the system C compiler on the first SpMV or
+SpGEMM that needs it (never at import or engine construction), with
 ``-O3 -fno-fast-math -ffp-contract=off``: FMA contraction would fuse
 ``part + v * x`` into one rounding and break bit-identity, and no
 ``-march=native`` keeps the cached library valid on any host of the
@@ -41,6 +48,7 @@ import numpy as np
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Columns of a right-hand-side block replayed together per row. */
 #define CHUNK 8
@@ -130,6 +138,105 @@ void row_replay_##SUFFIX(                                                      \
 
 DEFINE_REPLAY(i32, int32_t)
 DEFINE_REPLAY(i64, int64_t)
+
+static int compare_columns(const void *a, const void *b)
+{
+    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sorts a row's distinct columns in place: insertion sort up to 32 of
+ * them (95% of the rows of an ER d=4 product, whose symbolic pass took
+ * 1.5x as long with qsort alone), qsort beyond, so that long rows stay
+ * O(n log n). */
+static void sort_columns(int64_t *v, int64_t n)
+{
+    if (n > 32) {
+        qsort(v, (size_t)n, sizeof *v, compare_columns);
+        return;
+    }
+    for (int64_t r = 1; r < n; r++) {
+        const int64_t x = v[r];
+        int64_t w = r;
+        for (; w > 0 && v[w - 1] > x; w--)
+            v[w] = v[w - 1];
+        v[w] = x;
+    }
+}
+
+/* SpGEMM C = A B over A's replay order.
+ *
+ * The symbolic pass emits each row's distinct columns, sorted, and per
+ * partial product the slot s of its cell, stored as ~s for the cell's
+ * first product.  One walk over a row's products collects its distinct
+ * columns and notes each product's column (~column for a cell's first
+ * product); marker, one entry per column of B, is -1 outside the row.
+ * Once the row's columns are sorted, marker holds each column's rank
+ * and the noted columns become slots.
+ *
+ * The numeric pass streams A's records, each against its B row, and
+ * seeds each cell with its first product before adding the rest. */
+#define DEFINE_SPGEMM(SUFFIX, IDX)                                             \
+int64_t spgemm_symbolic_##SUFFIX(                                              \
+    int64_t n_rows, const int64_t *row_runs, const int64_t *run_ptr,           \
+    const IDX *a_cols, const int64_t *b_ptr, const IDX *b_cols, IDX *marker,   \
+    int64_t *out_ptr, int64_t *out_cols, int64_t *slots)                       \
+{                                                                              \
+    int64_t n_out = 0, t = 0;                                                  \
+    out_ptr[0] = 0;                                                            \
+    for (int64_t i = 0; i < n_rows; i++) {                                     \
+        const int64_t lo = run_ptr[row_runs[i]], hi = run_ptr[row_runs[i + 1]];\
+        const int64_t first = t;                                               \
+        int64_t *row_cols = out_cols + n_out, n = 0;                           \
+        for (int64_t q = lo; q < hi; q++) {                                    \
+            const int64_t end = b_ptr[a_cols[q] + 1];                          \
+            for (int64_t p = b_ptr[a_cols[q]]; p < end; p++) {                 \
+                const IDX j = b_cols[p];                                       \
+                if (marker[j] == -1) {                                         \
+                    marker[j] = 0;                                             \
+                    row_cols[n++] = j;                                         \
+                    slots[t++] = ~(int64_t)j;                                  \
+                } else {                                                       \
+                    slots[t++] = j;                                            \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+        sort_columns(row_cols, n);                                             \
+        for (int64_t r = 0; r < n; r++)                                        \
+            marker[row_cols[r]] = (IDX)r;                                      \
+        for (int64_t u = first; u < t; u++)                                    \
+            slots[u] = slots[u] < 0 ? ~(n_out + marker[~slots[u]])             \
+                                    : n_out + marker[slots[u]];                \
+        for (int64_t r = 0; r < n; r++)                                        \
+            marker[row_cols[r]] = -1;                                          \
+        n_out += n;                                                            \
+        out_ptr[i + 1] = n_out;                                                \
+    }                                                                          \
+    return n_out;                                                              \
+}                                                                              \
+                                                                               \
+void spgemm_numeric_##SUFFIX(                                                  \
+    int64_t n_records, const IDX *a_cols, const double *a_vals,                \
+    const int64_t *b_ptr, const double *b_vals, const int64_t *slots,          \
+    double *out)                                                               \
+{                                                                              \
+    int64_t t = 0;                                                             \
+    for (int64_t q = 0; q < n_records; q++) {                                  \
+        const double a = a_vals[q];                                            \
+        const int64_t end = b_ptr[a_cols[q] + 1];                              \
+        for (int64_t p = b_ptr[a_cols[q]]; p < end; p++) {                     \
+            const double product = b_vals[p] * a;                              \
+            const int64_t s = slots[t++];                                      \
+            if (s < 0)                                                         \
+                out[~s] = product;                                             \
+            else                                                               \
+                out[s] = out[s] + product;                                     \
+        }                                                                      \
+    }                                                                          \
+}
+
+DEFINE_SPGEMM(i32, int32_t)
+DEFINE_SPGEMM(i64, int64_t)
 """
 
 #: Pinned code-generation flags; part of the cache key.
@@ -215,7 +322,11 @@ def _index_pointer(dtype) -> type:
 
 
 class RowReplayKernel:
-    """The loaded shared object, with every foreign signature declared."""
+    """The loaded shared object, with every foreign signature declared.
+
+    Calling it runs the SpMV replay; :meth:`spgemm_symbolic` and
+    :meth:`spgemm` run the two SpGEMM passes.
+    """
 
     def __init__(self, path: Path):
         self.path = path
@@ -238,6 +349,36 @@ class RowReplayKernel:
                 values,  # out, (n_rows, k)
             ]
             self._entry[np.dtype(dtype)] = fn
+        self._symbolic, self._numeric = {}, {}
+        for dtype, suffix in ((np.int32, "i32"), (np.int64, "i64")):
+            index = _index_pointer(dtype)
+            fn = getattr(lib, f"spgemm_symbolic_{suffix}")
+            fn.restype = ctypes.c_int64
+            fn.argtypes = [
+                ctypes.c_int64,  # n_rows of A
+                runs,  # row_runs
+                runs,  # run_ptr
+                index,  # a_cols
+                runs,  # b_ptr
+                index,  # b_cols
+                index,  # marker, one per column of B
+                runs,  # out_ptr
+                runs,  # out_cols
+                runs,  # slots
+            ]
+            self._symbolic[np.dtype(dtype)] = fn
+            fn = getattr(lib, f"spgemm_numeric_{suffix}")
+            fn.restype = None
+            fn.argtypes = [
+                ctypes.c_int64,  # records of A
+                index,  # a_cols
+                _index_pointer(np.float64),  # a_vals
+                runs,  # b_ptr
+                _index_pointer(np.float64),  # b_vals, CSR order
+                runs,  # slots
+                _index_pointer(np.float64),  # out
+            ]
+            self._numeric[np.dtype(dtype)] = fn
         self._lib = lib
 
     def __call__(self, layout, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
@@ -273,6 +414,95 @@ class RowReplayKernel:
             None if Y is None else Y.ctypes.data,
             out,
         )
+        return out
+
+    def spgemm_symbolic(self, layout, b_ptr: np.ndarray, b_cols: np.ndarray, n_cols: int) -> tuple:
+        """Structure of ``C = A @ B`` and its slot map, in ``A``'s replay order.
+
+        Args:
+            layout: ``A``'s :class:`~repro.core.plan.RowReplay`.
+            b_ptr: ``B``'s CSR row offsets (length ``layout.n_cols + 1``).
+            b_cols: ``B``'s columns in CSR order (any order within a row).
+            n_cols: Columns of ``B``.
+
+        Returns:
+            ``(a_cols, out_ptr, out_cols, slots)``: ``A``'s columns in
+            the index type both passes use (``layout.cols`` itself when
+            it fits), ``C``'s CSR row offsets and sorted columns, and per
+            partial product its output slot ``s`` (``~s`` for the
+            cell's first product).
+
+        Raises:
+            ValueError: ``b_ptr`` or ``b_cols`` has the wrong length, or
+                a column of ``B`` is outside ``[0, n_cols)``.
+        """
+        b_ptr = np.ascontiguousarray(b_ptr, dtype=np.int64)
+        if b_ptr.shape != (layout.n_cols + 1,) or b_cols.shape != (b_ptr[-1],):
+            raise ValueError(
+                f"B must have {layout.n_cols} rows in CSR form, got "
+                f"{b_ptr.size - 1} row offsets and {b_cols.size} columns"
+            )
+        if b_cols.size and (b_cols.min() < 0 or b_cols.max() >= n_cols):
+            raise ValueError(f"B's columns must lie in [0, {n_cols})")
+        used = None
+        if n_cols > b_cols.size:
+            # B is wider than it has entries: number only the columns it
+            # uses, so the marker is bounded by B's entries, not its width.
+            used, b_cols = np.unique(b_cols, return_inverse=True)
+            n_cols = used.size
+        wide = layout.cols.dtype != np.int32 or n_cols >= 2**31
+        index = np.dtype(np.int64 if wide else np.int32)
+        a_cols = layout.cols.astype(index, copy=False)
+        total = int(np.diff(b_ptr)[a_cols].sum()) if a_cols.size else 0
+        out_ptr = np.zeros(layout.n_rows + 1, dtype=np.int64)
+        out_cols = np.empty(total, dtype=np.int64)
+        slots = np.empty(total, dtype=np.int64)
+        if total:
+            # The marker is per call, so concurrent products never share it.
+            n_out = self._symbolic[index](
+                layout.n_rows,
+                layout.row_runs,
+                layout.run_ptr,
+                a_cols,
+                b_ptr,
+                np.ascontiguousarray(b_cols, dtype=index),
+                np.full(n_cols, -1, dtype=index),
+                out_ptr,
+                out_cols,
+                slots,
+            )
+            out_cols.resize(n_out, refcheck=False)
+            if used is not None:
+                out_cols = used[out_cols]
+        return a_cols, out_ptr, out_cols, slots
+
+    def spgemm(self, slot_map, b_vals: np.ndarray, n_merged: int) -> np.ndarray:
+        """``C``'s values from a slot map built by :meth:`spgemm_symbolic`.
+
+        Args:
+            slot_map: A :class:`~repro.core.plan.SpGEMMSlotMap`.
+            b_vals: ``B``'s values in matrix order.
+            n_merged: Cells of ``C``.
+
+        Raises:
+            ValueError: ``b_vals`` does not match ``B``'s entry count.
+        """
+        b_vals = np.ascontiguousarray(b_vals, dtype=np.float64)
+        if b_vals.shape != (slot_map.b_ptr[-1],):
+            raise ValueError(f"B has {slot_map.b_ptr[-1]} values, got shape {b_vals.shape}")
+        if slot_map.b_order is not None:
+            b_vals = b_vals[slot_map.b_order]
+        out = np.empty(n_merged, dtype=np.float64)
+        if slot_map.slots.size:
+            self._numeric[slot_map.a_cols.dtype](
+                slot_map.a_cols.size,
+                slot_map.a_cols,
+                slot_map.a_vals,
+                slot_map.b_ptr,
+                b_vals,
+                slot_map.slots,
+                out,
+            )
         return out
 
 

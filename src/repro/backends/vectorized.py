@@ -237,6 +237,13 @@ class VectorizedBackend(ExecutionBackend):
     # oracle's stream-order addition exactly (bincount semantics).
     # ------------------------------------------------------------------
 
+    def spgemm_kernel(self):
+        """The compiled row-wise SpGEMM (:mod:`repro.backends.replay`).
+
+        Compiles it on the first call; None when no compiler works.
+        """
+        return replay.load_kernel()
+
     def spgemm_products(self, splan, b_vals, workspace=None) -> np.ndarray:
         if splan.total_records == 0:
             return np.empty(0, dtype=np.float64)

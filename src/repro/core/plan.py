@@ -41,7 +41,7 @@ from repro.core.step1 import Step1Engine, Step1Stats
 from repro.core.step2 import Step2Stats
 from repro.filters.hdn import HDNDetector
 from repro.formats.blocking import ColumnBlock, column_blocks
-from repro.formats.convert import coo_to_csr
+from repro.formats.convert import coo_to_csr, csr_rows
 from repro.formats.coo import COOMatrix
 from repro.formats.hypersparse import StripeFormat, choose_stripe_format
 from repro.memory.traffic import TrafficLedger
@@ -359,31 +359,44 @@ SPGEMM_PLAN_CAPACITY = 4
 
 
 @dataclass(frozen=True)
-class SpGEMMPlan:
-    """Precomputed symbolic structure for ``C = A @ B`` on one ``(A, B)``.
+class SpGEMMSlotMap:
+    """The compiled row-wise product's structure for one ``(A, B)``.
 
-    The SpGEMM analogue of :class:`Step2Symbolic`: everything the
-    partial-product expansion and the multi-way merge derive from
-    *structure* (which entries of ``B`` each stripe record touches, the
-    stable merge permutation over linearized ``(row, col)`` keys, the
-    run boundaries, the output coordinates) is computed once; the
-    per-call numeric path is a pure gather / multiply / segment-sum over
-    these arrays -- no per-call argsort, exactly like warm SpMV replay.
+    Built by the C symbolic pass
+    (:meth:`~repro.backends.replay.RowReplayKernel.spgemm_symbolic`)
+    over ``A``'s :class:`RowReplay` order -- rows ascending, and within
+    a row ``A``'s records in stripe order (ascending inner index ``k``
+    for canonical input) -- each record expanded over its ``B`` row.
+
+    Attributes:
+        a_cols: Inner index ``k`` of each ``A`` record, replay order.
+        a_vals: Value of each ``A`` record, replay order.
+        b_ptr: ``B``'s CSR row offsets.
+        b_order: Positions in ``b.vals`` of ``B``'s CSR-order values;
+            None when ``B``'s rows never decrease.
+        slots: Per partial product, its cell ``s`` of ``C``, stored as
+            ``~s`` for the cell's first product.
+    """
+
+    a_cols: np.ndarray
+    a_vals: np.ndarray
+    b_ptr: np.ndarray
+    b_order: np.ndarray | None
+    slots: np.ndarray
+
+
+@dataclass(frozen=True)
+class SpGEMMStages:
+    """The staged products-and-merge structure of one SpGEMM plan.
 
     Stream order: column blocks ascending, and within a block the
     stripe's row-major ``(row, local_col)`` record order, each record
-    expanded over its ``B``-row in ascending-column (CSR) order.  For a
-    fixed output cell ``(i, j)`` the partial products therefore arrive
-    in ascending inner-index ``k`` -- the same order row-wise Gustavson
-    feeds its per-row merge -- and the merge accumulates them with the
-    same stable-sort + stream-order addition, so engine SpGEMM is
-    bit-identical to the row-wise :func:`repro.core.spgemm.spgemm`.
+    expanded over its ``B`` row in CSR order.  For a fixed output cell
+    ``(i, j)`` the partial products therefore arrive in ascending inner
+    index ``k`` -- the order row-wise Gustavson feeds its per-row merge
+    -- and the merge adds them in stable-sort (stream) order.
 
     Attributes:
-        b: The right operand (held strongly; the cache checks identity).
-        n_rows: Rows of ``C`` (= rows of ``A``).
-        n_cols: Columns of ``C`` (= columns of ``B``).
-        n_blocks: Column blocks of ``A`` (stripes of the owning plan).
         block_starts: Record offsets per column block (length
             ``n_blocks + 1``): block ``k``'s partial products occupy
             stream positions ``block_starts[k]:block_starts[k+1]`` --
@@ -402,16 +415,8 @@ class SpGEMMPlan:
             (:class:`~repro.core.segsum.RunGroups`) with ``order``
             composed in, so the order-preserving segment-sum kernel
             reads the unsorted product stream directly.
-        out_rows: Row coordinate of each merged output record.
-        out_cols: Column coordinate of each merged output record.
-        total_records: Partial-product records across all blocks.
-        n_merged: Distinct ``(row, col)`` cells of ``C``.
     """
 
-    b: COOMatrix
-    n_rows: int
-    n_cols: int
-    n_blocks: int
     block_starts: np.ndarray
     gather_b: np.ndarray
     a_scale: np.ndarray
@@ -419,10 +424,75 @@ class SpGEMMPlan:
     run_ids: np.ndarray
     run_starts: np.ndarray
     run_groups: RunGroups
+
+
+def _stage(name: str) -> property:
+    return property(
+        lambda self: getattr(self.stages, name),
+        doc=f"``stages.{name}`` (see :class:`SpGEMMStages`).",
+    )
+
+
+@dataclass(frozen=True)
+class SpGEMMPlan:
+    """Precomputed symbolic structure for ``C = A @ B`` on one ``(A, B)``.
+
+    The SpGEMM analogue of :class:`Step2Symbolic`: everything derived
+    from *structure* -- the output coordinates and how each partial
+    product reaches its cell -- is computed once, so warm ``C = A @ B``
+    replays never sort.  It comes in two forms with the same output
+    coordinates and, executed, the same bits:
+
+    * ``slot_map`` -- built by the compiled symbolic pass when the
+      vectorized backend's C kernel is loaded; the numeric pass streams
+      ``A``'s records and ``B``'s rows and writes each product straight
+      into its cell.
+    * ``stages`` (:class:`SpGEMMStages`) -- the gather / multiply /
+      stable-merge structure the backends' ``spgemm_products`` and
+      ``spgemm_merge`` read.  Built eagerly without a kernel, and on
+      first read of any of its fields otherwise.
+
+    Both add each cell's products left to right in ascending inner
+    index ``k``, seeded with the first, so engine SpGEMM is
+    bit-identical to the row-wise :func:`repro.core.spgemm.spgemm`.
+
+    Attributes:
+        b: The right operand (held strongly; the cache checks identity).
+        n_rows: Rows of ``C`` (= rows of ``A``).
+        n_cols: Columns of ``C`` (= columns of ``B``).
+        n_blocks: Column blocks of ``A`` (stripes of the owning plan).
+        out_rows: Row coordinate of each merged output record.
+        out_cols: Column coordinate of each merged output record.
+        total_records: Partial-product records across all blocks.
+        n_merged: Distinct ``(row, col)`` cells of ``C``.
+        stripes: ``A``'s :class:`StripePlan` list (the staged fields'
+            source).
+        slot_map: The compiled product's :class:`SpGEMMSlotMap`, or None.
+    """
+
+    b: COOMatrix
+    n_rows: int
+    n_cols: int
+    n_blocks: int
     out_rows: np.ndarray
     out_cols: np.ndarray
     total_records: int
     n_merged: int
+    stripes: list = field(repr=False)
+    slot_map: SpGEMMSlotMap | None = field(default=None, repr=False)
+
+    @cached_property
+    def stages(self) -> SpGEMMStages:
+        """The staged structure, built on first read when absent."""
+        return build_spgemm_stages(self.stripes, self.b)[0]
+
+    block_starts = _stage("block_starts")
+    gather_b = _stage("gather_b")
+    a_scale = _stage("a_scale")
+    order = _stage("order")
+    run_ids = _stage("run_ids")
+    run_starts = _stage("run_starts")
+    run_groups = _stage("run_groups")
 
     @property
     def compression(self) -> float:
@@ -430,20 +500,32 @@ class SpGEMMPlan:
         return self.total_records / self.n_merged if self.n_merged else 1.0
 
 
-def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
-    """Derive the SpGEMM symbolic structure from ``A``'s stripes and ``B``.
+def _b_rows(b: COOMatrix) -> tuple:
+    """``B``'s CSR row offsets, columns in CSR order and value order.
+
+    Only the grouping by row matters to SpGEMM (a cell's products from
+    one ``B`` row are its duplicates, kept in matrix order), so the
+    value order is the row grouping of
+    :func:`~repro.formats.convert.csr_rows`.
+    """
+    b_ptr, order = csr_rows(b)
+    return b_ptr, (b.cols if order is None else b.cols[order]), order
+
+
+def build_spgemm_stages(stripes: list, b: COOMatrix) -> tuple:
+    """Derive the staged SpGEMM structure from ``A``'s stripes and ``B``.
 
     Args:
         stripes: ``A``'s :class:`StripePlan` list in stripe order.
         b: Right operand; ``b.n_rows`` must equal ``A``'s column count
             (the stripes' global column range).
-        n_rows: Rows of ``A`` (= rows of ``C``).
 
     Returns:
-        The immutable :class:`SpGEMMPlan`.
+        ``(stages, merged_keys)``: the :class:`SpGEMMStages` and the
+        linearized ``row * b.n_cols + col`` key of each cell of ``C``.
     """
-    b_csr = coo_to_csr(b)
-    row_lens = np.diff(b_csr.row_ptr)
+    b_ptr, b_cols, b_order = _b_rows(b)
+    row_lens = np.diff(b_ptr)
     gather_parts, scale_parts, key_parts = [], [], []
     block_starts = np.zeros(len(stripes) + 1, dtype=np.int64)
     total = 0
@@ -454,17 +536,15 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
             count = int(lens.sum())
             if count:
                 # Expand each stripe record over its B row: positions
-                # row_ptr[k] .. row_ptr[k] + lens, ascending B columns.
+                # b_ptr[k] .. b_ptr[k] + lens, in CSR order.
                 ends = np.cumsum(lens)
                 within = np.arange(count, dtype=np.int64) - np.repeat(
                     ends - lens, lens
                 )
-                gather = np.repeat(b_csr.row_ptr[k_global], lens) + within
-                gather_parts.append(gather)
+                gather = np.repeat(b_ptr[k_global], lens) + within
+                gather_parts.append(gather if b_order is None else b_order[gather])
                 scale_parts.append(np.repeat(sp.vals, lens))
-                key_parts.append(
-                    np.repeat(sp.rows, lens) * b.n_cols + b_csr.cols[gather]
-                )
+                key_parts.append(np.repeat(sp.rows, lens) * b.n_cols + b_cols[gather])
                 total += count
         block_starts[pos + 1] = total
     if total:
@@ -492,23 +572,70 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
         run_ids = np.empty(0, dtype=np.int64)
         merged_keys = np.empty(0, dtype=np.int64)
         run_starts = np.zeros(1, dtype=np.int64)
-    n_merged = int(merged_keys.size)
-    return SpGEMMPlan(
-        b=b,
-        n_rows=int(n_rows),
-        n_cols=int(b.n_cols),
-        n_blocks=len(stripes),
+    stages = SpGEMMStages(
         block_starts=block_starts,
         gather_b=gather_b,
         a_scale=a_scale,
         order=order,
         run_ids=run_ids,
         run_starts=run_starts,
-        run_groups=build_run_groups(run_ids, n_merged, order=order),
-        out_rows=merged_keys // b.n_cols if n_merged else merged_keys,
-        out_cols=merged_keys % b.n_cols if n_merged else merged_keys.copy(),
-        total_records=int(total),
-        n_merged=n_merged,
+        run_groups=build_run_groups(run_ids, int(merged_keys.size), order=order),
+    )
+    return stages, merged_keys
+
+
+def build_spgemm_plan(
+    stripes: list,
+    b: COOMatrix,
+    n_rows: int,
+    kernel=None,
+    layout: RowReplay | None = None,
+) -> SpGEMMPlan:
+    """Derive the SpGEMM symbolic structure from ``A``'s stripes and ``B``.
+
+    Args:
+        stripes: ``A``'s :class:`StripePlan` list in stripe order.
+        b: Right operand; ``b.n_rows`` must equal ``A``'s column count.
+        n_rows: Rows of ``A`` (= rows of ``C``).
+        kernel: The loaded :class:`~repro.backends.replay.RowReplayKernel`
+            to build the slot map with, or None for the staged structure.
+        layout: ``A``'s :class:`RowReplay` (required with ``kernel``).
+
+    Returns:
+        The immutable :class:`SpGEMMPlan`.
+    """
+    if kernel is None:
+        stages, merged_keys = build_spgemm_stages(stripes, b)
+        n_merged = int(merged_keys.size)
+        splan = SpGEMMPlan(
+            b=b,
+            n_rows=int(n_rows),
+            n_cols=int(b.n_cols),
+            n_blocks=len(stripes),
+            out_rows=merged_keys // b.n_cols if n_merged else merged_keys,
+            out_cols=merged_keys % b.n_cols if n_merged else merged_keys.copy(),
+            total_records=int(stages.block_starts[-1]),
+            n_merged=n_merged,
+            stripes=stripes,
+        )
+        # Fill the lazy ``stages`` field with what was just built.
+        splan.__dict__["stages"] = stages
+        return splan
+    b_ptr, b_cols, b_order = _b_rows(b)
+    a_cols, out_ptr, out_cols, slots = kernel.spgemm_symbolic(
+        layout, b_ptr, b_cols, b.n_cols
+    )
+    return SpGEMMPlan(
+        b=b,
+        n_rows=int(n_rows),
+        n_cols=int(b.n_cols),
+        n_blocks=len(stripes),
+        out_rows=np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(out_ptr)),
+        out_cols=out_cols,
+        total_records=int(slots.size),
+        n_merged=int(out_cols.size),
+        stripes=stripes,
+        slot_map=SpGEMMSlotMap(a_cols, layout.vals, b_ptr, b_order, slots),
     )
 
 
@@ -653,7 +780,7 @@ class ExecutionPlan:
                 self._row_replay = layout
             return self._row_replay
 
-    def spgemm_plan(self, b: COOMatrix) -> SpGEMMPlan:
+    def spgemm_plan(self, b: COOMatrix, kernel=None) -> SpGEMMPlan:
         """The cached SpGEMM symbolic structure for right operand ``b``.
 
         Built once per ``(plan, b)`` under a ``spgemm.plan`` span
@@ -664,6 +791,12 @@ class ExecutionPlan:
         ``b`` strongly with an identity re-check on lookup, so a
         recycled id can never alias a different matrix; the per-plan
         cache is a small LRU (:data:`SPGEMM_PLAN_CAPACITY`).
+
+        With ``kernel`` (the loaded
+        :class:`~repro.backends.replay.RowReplayKernel`) a new entry is
+        built by the compiled symbolic pass over :meth:`row_replay` and
+        carries a slot map; without, it carries the staged structure.
+        A hit returns the entry in whichever form it was built.
 
         Raises:
             ConfigurationError: ``b.n_rows`` does not match this plan's
@@ -690,7 +823,10 @@ class ExecutionPlan:
             )
             return cached
         with span("spgemm.plan", b_nnz=b.nnz):
-            built = build_spgemm_plan(self.stripes, b, self.n_rows)
+            layout = None if kernel is None else self.row_replay()
+            built = build_spgemm_plan(
+                self.stripes, b, self.n_rows, kernel=kernel, layout=layout
+            )
         metric_inc(
             "spgemm_plan_builds_total",
             help="SpGEMM symbolic structures built",

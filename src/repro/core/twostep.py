@@ -45,6 +45,7 @@ from repro.backends import ExecutionBackend, VectorizedBackend, resolve_backend
 from repro.core.config import TwoStepConfig
 from repro.core.plan import (
     ExecutionPlan,
+    SpGEMMPlan,
     Workspace,
     build_plan,
     config_fingerprint,
@@ -590,13 +591,17 @@ class TwoStepEngine:
         Rides the same machinery as SpMV: ``A``'s cached
         :class:`~repro.core.plan.ExecutionPlan` supplies the column
         blocking, and a :class:`~repro.core.plan.SpGEMMPlan` (cached on
-        the plan per right operand) supplies the partial-product gather
-        structure and the stable merge permutation.  Warm replays are
-        argsort-free.  Results are bit-identical across every backend
-        and to the row-wise Gustavson :func:`repro.core.spgemm.spgemm`:
-        both feed each output cell its contributions in ascending
-        inner-index order and accumulate them with the same sequential
-        stream-order addition.
+        the plan per right operand) supplies the symbolic structure.
+        On the vectorized backend with the C kernel loaded, that plan is
+        a slot map built by one compiled symbolic pass and each product
+        is one compiled pass over it (span ``spgemm.replay``); elsewhere
+        the backend's partial products and stable merge run over the
+        staged structure.  Warm replays are argsort-free.  Results are
+        bit-identical across both paths, every backend and the row-wise
+        Gustavson :func:`repro.core.spgemm.spgemm`: all feed each output
+        cell its contributions in ascending inner-index order and
+        accumulate them with the same sequential stream-order addition,
+        seeded with the first.
 
         Args:
             a: Left operand (``m x k``) in RM-COO.
@@ -628,16 +633,19 @@ class TwoStepEngine:
             with span("spgemm.run", backend=self.backend.name):
                 with collect_faults(faults):
                     plan = self.plan(a)
-                    splan = plan.spgemm_plan(b)
-                    workspace = self._workspace()
-                    with span("spgemm.products", records=splan.total_records):
-                        products = self.backend.spgemm_products(
-                            splan, b.vals, workspace=workspace
-                        )
-                    with span("spgemm.merge", n_merged=splan.n_merged):
-                        merged = self.backend.spgemm_merge(
-                            splan, products, workspace=workspace
-                        )
+                    kernel = self.backend.spgemm_kernel()
+                    splan = plan.spgemm_plan(b, kernel=kernel)
+                    if kernel is not None and splan.slot_map is not None:
+                        with span(
+                            "spgemm.replay",
+                            records=splan.total_records,
+                            n_merged=splan.n_merged,
+                        ):
+                            merged = kernel.spgemm(splan.slot_map, b.vals, splan.n_merged)
+                        kernels = "c"
+                    else:
+                        merged = self._staged_spgemm(splan, b)
+                        kernels = self._staged_tier()
         c = COOMatrix(
             a.n_rows,
             b.n_cols,
@@ -667,8 +675,16 @@ class TwoStepEngine:
             verified=verified,
             wall_time_s=wall,
             faults=faults,
-            telemetry=self._publish_spgemm_telemetry(session, report, wall),
+            telemetry=self._publish_spgemm_telemetry(session, report, wall, kernels),
         )
+
+    def _staged_spgemm(self, splan: SpGEMMPlan, b: COOMatrix) -> np.ndarray:
+        """``spgemm``'s backend stages: partial products, then the merge."""
+        workspace = self._workspace()
+        with span("spgemm.products", records=splan.total_records):
+            products = self.backend.spgemm_products(splan, b.vals, workspace=workspace)
+        with span("spgemm.merge", n_merged=splan.n_merged):
+            return self.backend.spgemm_merge(splan, products, workspace=workspace)
 
     def run_spgemm_many(
         self,
@@ -695,7 +711,7 @@ class TwoStepEngine:
         return [self.spgemm(a, b, verify=verify) for b in bs]
 
     def _publish_spgemm_telemetry(
-        self, session, report: SpGEMMReport, wall_s: float
+        self, session, report: SpGEMMReport, wall_s: float, kernels: str
     ) -> TelemetryReport | None:
         """Snapshot one SpGEMM run's telemetry into the lifetime registry."""
         if session is None:
@@ -716,7 +732,7 @@ class TwoStepEngine:
         )
         metrics.inc(
             "spgemm_backend_runs_total",
-            labels={"backend": self.backend.name, "kernels": self._staged_tier()},
+            labels={"backend": self.backend.name, "kernels": kernels},
             help="SpGEMM runs, by requested backend and executing kernel tier",
         )
         telemetry = TelemetryReport(

@@ -13,16 +13,35 @@ from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
 
 
-def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
-    """Convert RM-COO to CSR.
+def csr_rows(coo: COOMatrix) -> tuple[np.ndarray, np.ndarray | None]:
+    """``coo``'s CSR row offsets and the order that groups its triples by row.
 
-    The COO triples are already sorted by ``(row, col)`` so the conversion
-    only builds the row-pointer prefix sum.
+    Returns:
+        ``(row_ptr, order)``: ``order`` is None when the rows never
+        decrease (RM-COO, or rows in order with columns in any order),
+        and otherwise a stable argsort of the rows, so each row keeps
+        its triples' relative order.
     """
     counts = np.bincount(coo.rows, minlength=coo.n_rows)
     row_ptr = np.zeros(coo.n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
-    return CSRMatrix(coo.n_rows, coo.n_cols, row_ptr, coo.cols.copy(), coo.vals.copy())
+    rows = coo.rows
+    if rows.size < 2 or (rows[1:] >= rows[:-1]).all():
+        return row_ptr, None
+    return row_ptr, np.argsort(rows, kind="stable")
+
+
+def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
+    """Convert RM-COO to CSR.
+
+    RM-COO triples only need the row-pointer prefix sum; triples whose
+    rows decrease somewhere (``COOMatrix`` accepts them) are first
+    grouped by row (:func:`csr_rows`).
+    """
+    row_ptr, order = csr_rows(coo)
+    if order is None:
+        return CSRMatrix(coo.n_rows, coo.n_cols, row_ptr, coo.cols.copy(), coo.vals.copy())
+    return CSRMatrix(coo.n_rows, coo.n_cols, row_ptr, coo.cols[order], coo.vals[order])
 
 
 def csr_to_coo(csr: CSRMatrix) -> COOMatrix:

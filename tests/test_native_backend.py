@@ -12,6 +12,7 @@ configuration error.
 """
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -224,3 +225,99 @@ def test_engine_metrics_report_backend_and_tier():
         )
         == 2.0
     )
+
+
+# ---------------------------------------------------------------------------
+# The fused loops themselves, interpreted: a shim ``numba`` whose ``njit``
+# returns each function unchanged runs them as plain Python, so their
+# accumulation order is checked on hosts without Numba too.
+# ---------------------------------------------------------------------------
+
+
+class _InterpretedNumba:
+    """Stands in for ``numba``: no compilation, ``prange`` is ``range``."""
+
+    prange = range
+
+    @staticmethod
+    def njit(*args, **kwargs):
+        if args and callable(args[0]):
+            return args[0]
+        return lambda fn: fn
+
+
+@contextmanager
+def _interpreted_numba():
+    """NativeBackends built inside run the interpreted loops."""
+    from repro.backends import native
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(NATIVE_DISABLE_ENV_VAR, raising=False)
+        patch.setattr(native, "_import_numba", _InterpretedNumba)
+        patch.setattr(native, "_KERNELS", {})
+        patch.setattr(native, "_COMPILE_S", {})
+        reset_native_state()
+        yield
+    reset_native_state()
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_interpreted_loops_keep_negative_zero_runs(n_jobs):
+    from repro.formats.coo import COOMatrix
+
+    # Row 0: one -0.0 product; row 1: -0.0 + -0.0 within one stripe;
+    # row 2: -0.0 in each of two stripes (merged); row 3: -0.0 then +0.0.
+    matrix = COOMatrix(
+        4, 4,
+        np.array([0, 1, 1, 2, 2, 3, 3]),
+        np.array([0, 0, 1, 0, 3, 0, 1]),
+        np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0]),
+    )
+    x = np.zeros(4)
+    X = np.zeros((4, 3))
+    # SpGEMM: cell (0, 0) sums -0.0 products from two inner indices.
+    a = COOMatrix(1, 2, np.array([0, 0]), np.array([0, 1]), np.array([-1.0, -1.0]))
+    b = COOMatrix(2, 1, np.array([0, 1]), np.array([0, 0]), np.array([0.0, 0.0]))
+    oracle = _engine("reference", segment_width=2)
+    expected = oracle.run(matrix, x).y
+    assert list(np.signbit(expected)) == [True, True, True, False]
+    with _interpreted_numba():
+        backend = NativeBackend(n_jobs=n_jobs)
+        assert backend.kernel_tier == "native-jit"
+        native = _engine(backend, segment_width=2)
+        y = native.run(matrix, x).y
+        Y = native.run_many(matrix, X).y
+        c = native.spgemm(a, b).c.vals
+    assert np.array_equal(_bits(y), _bits(expected))
+    assert np.array_equal(_bits(Y), _bits(oracle.run_many(matrix, X).y))
+    assert np.array_equal(_bits(c), _bits(oracle.spgemm(a, b).c.vals))
+    assert np.signbit(c).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 3]))
+@settings(max_examples=10, deadline=None)
+def test_interpreted_loops_match_the_oracle(seed, k):
+    from repro.formats.coo import COOMatrix
+
+    rng = np.random.default_rng(seed)
+    nnz = int(rng.integers(0, 60))
+    matrix = COOMatrix.from_triples(
+        10, 10, rng.integers(0, 10, nnz), rng.integers(0, 10, nnz),
+        rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], nnz),
+    )
+    X = rng.choice([-0.0, 0.0, 1.0, -3.0], (10, k))
+    oracle = _engine("reference", segment_width=4)
+    with _interpreted_numba():
+        engine = _engine(NativeBackend(n_jobs=1), segment_width=4)
+        assert np.array_equal(
+            _bits(engine.run(matrix, X[:, 0]).y), _bits(oracle.run(matrix, X[:, 0]).y)
+        )
+        assert np.array_equal(
+            _bits(engine.run_many(matrix, X).y), _bits(oracle.run_many(matrix, X).y)
+        )
+        got = engine.spgemm(matrix, matrix).c.vals
+    assert np.array_equal(_bits(got), _bits(oracle.spgemm(matrix, matrix).c.vals))

@@ -269,12 +269,16 @@ def test_missing_compiler_falls_back(fresh_cache, monkeypatch):
 def test_compilation_is_lazy_and_cached(fresh_cache, tmp_path):
     graph = erdos_renyi_graph(200, 4.0, seed=7)
     engine = _vectorized(segment_width=64, q=2)
-    engine.spgemm(graph, graph)
     assert engine.backend.kernel_tier == "numpy"
-    assert fresh_cache == []  # construction and spgemm never compile
-    engine.run(graph, np.ones(graph.n_cols))
+    assert fresh_cache == []  # construction never compiles
+    product = engine.spgemm(graph, graph)
     assert len(fresh_cache) == 1
     assert engine.backend.kernel_tier == "c"
+    assert product.telemetry.metrics.value(
+        "spgemm_backend_runs_total", labels={"backend": "vectorized", "kernels": "c"}
+    ) == 1
+    engine.run(graph, np.ones(graph.n_cols))
+    assert len(fresh_cache) == 1
     # A new process state loads the cached library without compiling.
     replay.reset_replay_state()
     assert replay.load_kernel() is not None
